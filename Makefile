@@ -36,14 +36,14 @@ race: test-race
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Snapshot the vectorized-executor microbenchmarks (tuple vs batch mode:
-# scan, Grace join, group-by) as machine-readable JSON in BENCH_PR4.json,
-# the planning-latency microbenchmarks (CS+ search vs greedy vs a warmed
-# plan-cache probe) as BENCH_PR6.json, and the columnar-vs-row-major
-# layout microbenchmarks (scan, join, sort, fused join+aggregate,
-# group-by) as BENCH_PR9.json.
+# Snapshot the planning-latency microbenchmarks (CS+ search vs greedy vs
+# a warmed plan-cache probe) as machine-readable JSON in BENCH_PR6.json,
+# and the columnar-vs-row-major layout microbenchmarks (scan, join, sort,
+# fused join+aggregate, group-by) as BENCH_PR9.json. BENCH_PR4.json is a
+# frozen snapshot of the retired tuple-vs-batch comparison: its tuple
+# rows can no longer be regenerated, so it is not rewritten here (the
+# surviving BenchmarkBatch* variants run in the CI bench smoke).
 bench-json:
-	$(GO) test -run=NONE -bench=Batch -benchtime=10x -benchmem ./internal/exec/ | $(GO) run ./cmd/benchjson > BENCH_PR4.json
 	$(GO) test -run=NONE -bench=Planning -benchtime=100x -benchmem ./internal/core/ | $(GO) run ./cmd/benchjson > BENCH_PR6.json
 	$(GO) test -run=NONE -bench=Columnar -benchtime=50x -benchmem -count=5 ./internal/exec/ | $(GO) run ./cmd/benchjson > BENCH_PR9.json
 

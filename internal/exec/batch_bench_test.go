@@ -63,82 +63,65 @@ func runPlanBench(b *testing.B, h *harness, p planNodeFunc) {
 // rebuilding avoids any cross-iteration plan-node state).
 type planNodeFunc = func() *plan.Node
 
-// batchModes is the tuple-vs-batch sweep every batch benchmark runs.
-var batchModes = []struct {
-	name string
-	size int
-}{
-	{"tuple", 1},
-	{"batch", 0},
-}
+// The Batch* benchmarks run the base operators over row-major pages.
+// Each runs as the "batch" sub-benchmark so its rows line up with
+// BENCH_PR4.json.
 
-// BenchmarkBatchScan compares tuple-at-a-time and batch execution of a
-// bare table scan — the floor of the batching win: per-page pin/decode
-// against per-tuple.
+// BenchmarkBatchScan measures a bare table scan: per-page pin and decode.
 func BenchmarkBatchScan(b *testing.B) {
 	rel := benchRel("t", 20000)
-	for _, mode := range batchModes {
-		b.Run(mode.name, func(b *testing.B) {
-			h := newHarness(b, 4096, rel)
-			h.engine.BatchSize = mode.size
-			pb := h.builder()
-			runPlanBench(b, h, func() *plan.Node {
-				p, err := pb.Scan("t")
-				if err != nil {
-					b.Fatal(err)
-				}
-				return p
-			})
+	b.Run("batch", func(b *testing.B) {
+		h := newHarness(b, 4096, rel)
+		pb := h.builder()
+		runPlanBench(b, h, func() *plan.Node {
+			p, err := pb.Scan("t")
+			if err != nil {
+				b.Fatal(err)
+			}
+			return p
 		})
-	}
+	})
 }
 
-// BenchmarkBatchGraceJoin compares the modes on a forced Grace join
-// (partition both sides, join partition pairs) where every probe
-// matches.
+// BenchmarkBatchGraceJoin measures a forced Grace join (partition both
+// sides, join partition pairs) where every probe matches.
 func BenchmarkBatchGraceJoin(b *testing.B) {
 	l, r := benchJoinRels(20000)
-	for _, mode := range batchModes {
-		b.Run(mode.name, func(b *testing.B) {
-			h := newHarness(b, 4096, l, r)
-			h.engine.BatchSize = mode.size
-			h.engine.HashJoinMaxBuild = 2048
-			pb := h.builder()
-			runPlanBench(b, h, func() *plan.Node {
-				sl, err := pb.Scan("l")
-				if err != nil {
-					b.Fatal(err)
-				}
-				sr, err := pb.Scan("r")
-				if err != nil {
-					b.Fatal(err)
-				}
-				return pb.Join(sl, sr)
-			})
+	b.Run("batch", func(b *testing.B) {
+		h := newHarness(b, 4096, l, r)
+		h.engine.HashJoinMaxBuild = 2048
+		pb := h.builder()
+		runPlanBench(b, h, func() *plan.Node {
+			sl, err := pb.Scan("l")
+			if err != nil {
+				b.Fatal(err)
+			}
+			sr, err := pb.Scan("r")
+			if err != nil {
+				b.Fatal(err)
+			}
+			return pb.Join(sl, sr)
 		})
-	}
+	})
 }
 
-// BenchmarkBatchGroupBy compares the modes on a marginalizing hash
-// group-by collapsing 64-wide groups.
+// BenchmarkBatchGroupBy measures a marginalizing hash group-by
+// collapsing 64-wide groups.
 func BenchmarkBatchGroupBy(b *testing.B) {
 	rel := benchRel("t", 20000)
-	for _, mode := range batchModes {
-		b.Run(mode.name, func(b *testing.B) {
-			h := newHarness(b, 4096, rel)
-			h.engine.BatchSize = mode.size
-			pb := h.builder()
-			runPlanBench(b, h, func() *plan.Node {
-				s, err := pb.Scan("t")
-				if err != nil {
-					b.Fatal(err)
-				}
-				g, err := pb.GroupBy(s, []string{"X"})
-				if err != nil {
-					b.Fatal(err)
-				}
-				return g
-			})
+	b.Run("batch", func(b *testing.B) {
+		h := newHarness(b, 4096, rel)
+		pb := h.builder()
+		runPlanBench(b, h, func() *plan.Node {
+			s, err := pb.Scan("t")
+			if err != nil {
+				b.Fatal(err)
+			}
+			g, err := pb.GroupBy(s, []string{"X"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return g
 		})
-	}
+	})
 }

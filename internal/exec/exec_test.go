@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -371,6 +372,37 @@ func TestTempTablesReclaimed(t *testing.T) {
 	// succeeds only if nothing is pinned dirty).
 	if err := h.pool.FlushAll(); err != nil {
 		t.Fatalf("leaked pins detected: %v", err)
+	}
+}
+
+// TestOutputTempFailureReturnsError makes every temp-heap creation fail
+// once the base tables are loaded: a Select and a GroupBy must each fail
+// with the disk factory's error, not carry on with a nil output table.
+func TestOutputTempFailureReturnsError(t *testing.T) {
+	a, _, _ := randomRelations(13)
+	h := newHarness(t, 16, a)
+	boom := errors.New("no temp disk")
+	h.engine.Factory = func() (storage.Disk, error) { return nil, boom }
+	pb := h.builder()
+	scan, err := pb.Scan("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := pb.Select(scan, relation.Predicate{"X": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb, err := pb.GroupBy(scan, []string{"X"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*plan.Node{sel, gb} {
+		if _, _, err := h.engine.Run(p, MapResolver(h.tables)); !errors.Is(err, boom) {
+			t.Fatalf("%s: want the factory error, got %v", opKind(p), err)
+		}
+		if n := h.pool.Pinned(); n != 0 {
+			t.Fatalf("%s: %d frames left pinned", opKind(p), n)
+		}
 	}
 }
 

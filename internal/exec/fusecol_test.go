@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -50,25 +49,32 @@ func fusedGroupPlan(t *testing.T, h *harness, first, second string, groupVars []
 
 // TestFusedColumnarMatchesRowFused is the fused-columnar contract: over
 // encoded pages the fused join+aggregate must be BIT-identical (tol 0)
-// to the row-batch fused path, for every split of the group variables
-// across the probe and build sides, in both join orders, with and
-// without span-safe folding.
+// to the same fused operator over row-major pages and to the
+// materializing join+aggregate pipeline, for every split of the group
+// variables across the probe and build sides, in both join orders, with
+// and without span-safe folding.
 func TestFusedColumnarMatchesRowFused(t *testing.T) {
 	groupSets := [][]string{{"X"}, {"W"}, {"V"}, {"W", "V"}, {"X", "W", "V"}, {"X", "W"}, {"Y"}, {"X", "Y", "V"}, nil}
 	for seed := int64(41); seed <= 44; seed++ {
 		a, b := fuseRels(seed)
 		for _, order := range [][2]string{{"a", "b"}, {"b", "a"}} {
 			for _, groupVars := range groupSets {
+				plain := fusedGroupPlan(t, newHarness(t, 4096, a, b), order[0], order[1], groupVars)
+
 				rh := newHarness(t, 4096, a, b)
 				rh.engine.FuseJoinGroupBy = true
-				want := fusedGroupPlan(t, rh, order[0], order[1], groupVars)
+				rowFused := fusedGroupPlan(t, rh, order[0], order[1], groupVars)
 
 				ch := columnarHarness(t, 4096, a, b)
 				ch.engine.FuseJoinGroupBy = true
 				got := fusedGroupPlan(t, ch, order[0], order[1], groupVars)
 
-				if !relation.Equal(want, got, 0, 0) {
-					t.Fatalf("seed %d join %v group %v: fused columnar differs from row fused",
+				if !relation.Equal(rowFused, got, 0, 0) {
+					t.Fatalf("seed %d join %v group %v: fused columnar differs from fused row-major",
+						seed, order, groupVars)
+				}
+				if !relation.Equal(plain, got, 0, 0) {
+					t.Fatalf("seed %d join %v group %v: fused columnar differs from the unfused pipeline",
 						seed, order, groupVars)
 				}
 				if es := ch.pool.EncodingStats(); es.PagesEncoded == 0 {
@@ -102,7 +108,7 @@ func TestFusedColumnarMatchesUnfused(t *testing.T) {
 // TestFusedColumnarSemirings runs the fused columnar kernel under every
 // semiring, including ones with no RunFolder (logSumExp) and ones whose
 // folds collapse idempotently (min/max): all must stay bit-identical to
-// the row fused path.
+// the materializing pipeline over row-major pages.
 func TestFusedColumnarSemirings(t *testing.T) {
 	a, b := fuseRels(61)
 	for _, sr := range semiring.All() {
@@ -115,12 +121,12 @@ func TestFusedColumnarSemirings(t *testing.T) {
 					h = newHarness(t, 4096, a, b)
 				}
 				h.engine.Sr = sr
-				h.engine.FuseJoinGroupBy = true
+				h.engine.FuseJoinGroupBy = columnar
 				return fusedGroupPlan(t, h, "a", "b", []string{"X", "V"})
 			}
 			want, got := run(false), run(true)
 			if !relation.Equal(want, got, sr.Zero(), 0) {
-				t.Fatalf("%s: fused columnar differs from row fused", sr.Name())
+				t.Fatalf("%s: fused columnar differs from the unfused pipeline", sr.Name())
 			}
 		})
 	}
@@ -170,9 +176,7 @@ func TestFusedColumnarFunctionalBuild(t *testing.T) {
 		fact, dim *relation.Relation
 	}{{aByte, dimDense}, {aRLE, dimDense}, {aDict, dimSparse}} {
 		for _, groupVars := range [][]string{{"Y"}, {"U"}, {"Y", "U"}, {"X", "U"}} {
-			rh := newHarness(t, 4096, pair.fact, pair.dim)
-			rh.engine.FuseJoinGroupBy = true
-			want := fusedGroupPlan(t, rh, pair.fact.Name(), pair.dim.Name(), groupVars)
+			want := fusedGroupPlan(t, newHarness(t, 4096, pair.fact, pair.dim), pair.fact.Name(), pair.dim.Name(), groupVars)
 
 			ch := columnarHarness(t, 4096, pair.fact, pair.dim)
 			ch.engine.FuseJoinGroupBy = true
@@ -191,7 +195,8 @@ func TestFusedColumnarFunctionalBuild(t *testing.T) {
 // is one bit-identical measure span and the sum-product RunFolder's
 // exactness proof holds (integral terms well under 2^53). MaxProduct
 // folds the same spans idempotently. Both must stay bit-identical to
-// the row fused path, which folds row by row.
+// the materializing pipeline over row-major pages, which folds row by
+// row.
 func TestFusedColumnarRunFolding(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
 	a, _ := relation.Random(rng, "a",
@@ -207,7 +212,6 @@ func TestFusedColumnarRunFolding(t *testing.T) {
 		for _, groupVars := range [][]string{{"Y"}, {"U"}, {"Y", "U"}} {
 			rh := newHarness(t, 4096, a, dim)
 			rh.engine.Sr = sr
-			rh.engine.FuseJoinGroupBy = true
 			want := fusedGroupPlan(t, rh, "a", "dim", groupVars)
 
 			ch := columnarHarness(t, 4096, a, dim)
@@ -224,7 +228,8 @@ func TestFusedColumnarRunFolding(t *testing.T) {
 
 // TestFusedColumnarMultiColKey joins on TWO shared variables, driving
 // the kernel's generic path: the probe key is encoded from the flattened
-// key columns without gathering rows.
+// key columns without gathering rows. The reference is the materializing
+// pipeline over row-major pages.
 func TestFusedColumnarMultiColKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	a, _ := relation.Random(rng, "a",
@@ -234,9 +239,7 @@ func TestFusedColumnarMultiColKey(t *testing.T) {
 		[]relation.Attr{{Name: "Y", Domain: 8}, {Name: "Z", Domain: 10}, {Name: "V", Domain: 3}}, 0.9,
 		relation.UniformMeasure(0.1, 5))
 	for _, groupVars := range [][]string{{"X"}, {"V"}, {"X", "V"}, {"Y", "Z"}, nil} {
-		rh := newHarness(t, 4096, a, b)
-		rh.engine.FuseJoinGroupBy = true
-		want := fusedGroupPlan(t, rh, "a", "b", groupVars)
+		want := fusedGroupPlan(t, newHarness(t, 4096, a, b), "a", "b", groupVars)
 
 		ch := columnarHarness(t, 4096, a, b)
 		ch.engine.FuseJoinGroupBy = true
@@ -245,29 +248,5 @@ func TestFusedColumnarMultiColKey(t *testing.T) {
 		if !relation.Equal(want, got, 0, 0) {
 			t.Fatalf("group %v: fused columnar multi-column join differs", groupVars)
 		}
-	}
-}
-
-// TestFusedColumnarNarrowBatches re-runs the equivalence with batch
-// windows far narrower than a page, so RLE runs are clipped at batch
-// boundaries and the per-batch memo tables reset mid-run.
-func TestFusedColumnarNarrowBatches(t *testing.T) {
-	a, b := fuseRels(81)
-	for _, bs := range []int{3, 7, 64} {
-		t.Run(fmt.Sprintf("batch=%d", bs), func(t *testing.T) {
-			rh := newHarness(t, 4096, a, b)
-			rh.engine.FuseJoinGroupBy = true
-			rh.engine.BatchSize = bs
-			want := fusedGroupPlan(t, rh, "a", "b", []string{"X", "V"})
-
-			ch := columnarHarness(t, 4096, a, b)
-			ch.engine.FuseJoinGroupBy = true
-			ch.engine.BatchSize = bs
-			got := fusedGroupPlan(t, ch, "a", "b", []string{"X", "V"})
-
-			if !relation.Equal(want, got, 0, 0) {
-				t.Fatalf("batch=%d: fused columnar differs from row fused", bs)
-			}
-		})
 	}
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mpf/internal/relation"
@@ -23,16 +24,20 @@ func bigJoinInputs(seed int64) (*relation.Relation, *relation.Relation) {
 }
 
 // graceRun executes a ⋈* b through the Grace path with the given
-// parallelism and batch width on a fresh pool large enough to avoid
+// parallelism and page layout on a fresh pool large enough to avoid
 // eviction, so the IO counters depend only on the operator's page
 // accesses.
-func graceRun(t *testing.T, seed int64, parallelism, batchSize int) (*relation.Relation, RunStats) {
+func graceRun(t *testing.T, seed int64, parallelism int, columnar bool) (*relation.Relation, RunStats) {
 	t.Helper()
 	a, b := bigJoinInputs(seed)
-	h := newHarness(t, 4096, a, b)
+	var h *harness
+	if columnar {
+		h = columnarHarness(t, 4096, a, b)
+	} else {
+		h = newHarness(t, 4096, a, b)
+	}
 	h.engine.HashJoinMaxBuild = 32
 	h.engine.Parallelism = parallelism
-	h.engine.BatchSize = batchSize
 	pb := h.builder()
 	sa, _ := pb.Scan("a")
 	sb, _ := pb.Scan("b")
@@ -42,27 +47,22 @@ func graceRun(t *testing.T, seed int64, parallelism, batchSize int) (*relation.R
 
 // TestParallelGraceJoinMatchesSerial checks the tentpole invariant: a
 // parallel Grace join returns the same relation bit-for-bit and performs
-// exactly the same physical IO as its serial execution. In tuple mode
-// every Stats counter must match, hits included (each row pins the
-// output page once, in any order). In batch mode reads and writes must
-// still match, but hit counts may differ slightly: partition pairs flush
-// page-sized output batches, so how their partial last batches align
-// against page boundaries — and hence the pin count — depends on pair
-// completion order.
+// exactly the same physical reads and writes as its serial execution,
+// over row-major ("batch") and columnar pages. Hit counts may differ
+// slightly: partition pairs flush page-sized output batches, so how their
+// partial last batches align against page boundaries — and hence the pin
+// count — depends on pair completion order.
 func TestParallelGraceJoinMatchesSerial(t *testing.T) {
 	for _, mode := range []struct {
-		name      string
-		batchSize int
-	}{{"tuple", 1}, {"batch", 0}} {
+		name     string
+		columnar bool
+	}{{"batch", false}, {"columnar", true}} {
 		t.Run(mode.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
-				serialRel, serialSt := graceRun(t, seed, 0, mode.batchSize)
-				parRel, parSt := graceRun(t, seed, 4, mode.batchSize)
+				serialRel, serialSt := graceRun(t, seed, 0, mode.columnar)
+				parRel, parSt := graceRun(t, seed, 4, mode.columnar)
 				if !relation.Equal(serialRel, parRel, 0, 0) {
 					t.Fatalf("seed %d: parallel grace join relation differs from serial", seed)
-				}
-				if mode.batchSize == 1 && parSt.IO != serialSt.IO {
-					t.Fatalf("seed %d: IO diverged: serial %+v parallel %+v", seed, serialSt.IO, parSt.IO)
 				}
 				if parSt.IO.Reads != serialSt.IO.Reads || parSt.IO.Writes != serialSt.IO.Writes {
 					t.Fatalf("seed %d: physical IO diverged: serial %+v parallel %+v", seed, serialSt.IO, parSt.IO)
@@ -149,7 +149,7 @@ func TestParallelSortRunsMatchSerial(t *testing.T) {
 		t.Fatalf("length mismatch: %d vs %d", serial.Len(), parallel.Len())
 	}
 	for i := 0; i < serial.Len(); i++ {
-		if !equalRows(serial.Row(i), parallel.Row(i)) || serial.Measure(i) != parallel.Measure(i) {
+		if !slices.Equal(serial.Row(i), parallel.Row(i)) || serial.Measure(i) != parallel.Measure(i) {
 			t.Fatalf("row %d differs: %v/%v vs %v/%v",
 				i, serial.Row(i), serial.Measure(i), parallel.Row(i), parallel.Measure(i))
 		}

@@ -13,9 +13,10 @@ import (
 	"mpf/internal/storage"
 )
 
-// chaosMode is one engine configuration the chaos matrix replays: the
-// serial tuple-at-a-time baseline and the full modern path (parallel
-// workers, vectorized batches, read-ahead, result cache). tol is the
+// chaosMode is one engine configuration the chaos matrix replays: a
+// serial session over columnar pages and a parallel one over row-major
+// pages with read-ahead and the result cache, so fault injection covers
+// both page layouts. tol is the
 // answer-comparison tolerance against the fault-free reference: serial
 // execution is bit-deterministic, so any deviation at all is a failure;
 // parallel partition pairs append join output in completion order, so
@@ -31,7 +32,7 @@ type chaosMode struct {
 // exercises the fault paths if queries perform real page reads.
 func chaosModes() []chaosMode {
 	return []chaosMode{
-		{"serial", core.Config{PoolFrames: 32, BatchSize: 1}, 0},
+		{"serial+columnar", core.Config{PoolFrames: 32, Columnar: true}, 0},
 		{"par+batch+cache", core.Config{PoolFrames: 32, Parallelism: 4, ReadAhead: 8, ResultCacheBytes: 4 << 20}, 1e-6},
 	}
 }

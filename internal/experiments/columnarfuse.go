@@ -99,8 +99,8 @@ func fuseRunBest(rels []*relation.Relation, frames int, columnar bool, reps int,
 	return out, best, es, nil
 }
 
-// ColumnarFuse measures the end-to-end columnar execution paths this
-// layout enables against their row-major twins on warm small-domain
+// ColumnarFuse measures the columnar layout against row-major pages
+// through the same sort and fused kernels on warm small-domain
 // workloads: a sort-heavy plan — sort-based aggregation on the clustered
 // leading key, where RLE runs become pre-sorted blocks and the
 // already-sorted check skips whole permutations — and a fused
