@@ -4,17 +4,18 @@
 
 GO ?= go
 
-.PHONY: all check build test test-race race bench bench-json bench-compare chaos columnar columnar-fuse experiments examples fmt vet clean docs-check loadgen mvcc server-smoke
+.PHONY: all check build test test-race race bench bench-json bench-compare chaos experiments examples fmt vet clean docs-check loadgen mvcc server-smoke
 
 all: check
 
 # Full gate: compile, vet, plain tests, the race-enabled suite (which
 # exercises the parallel executor with Parallelism > 1), the two
 # serving-layer smokes (a curl-driven endpoint walk of cmd/mpfserver and
-# a reduced concurrent load generation run over the wire), the quick
-# columnar-layout and columnar-fuse identity checks, and the MVCC
-# snapshot-isolation chaos run under the race detector.
-check: build vet test test-race server-smoke loadgen columnar columnar-fuse mvcc
+# a reduced concurrent load generation run over the wire), and the MVCC
+# snapshot-isolation chaos run under the race detector. Layout identity
+# (columnar vs row-major pages: byte-identical results, equal page IO)
+# is a plain test, TestLayoutIdentity in internal/exec.
+check: build vet test test-race server-smoke loadgen mvcc
 
 # Documentation gate: vet, the exported-identifier doc-comment check,
 # and markdown link verification (README/DESIGN/EXPERIMENTS/ARCHITECTURE).
@@ -60,20 +61,6 @@ bench-compare:
 # EXPERIMENTS.md, `chaos`). The fixed seed makes failures reproducible.
 chaos:
 	$(GO) run ./cmd/mpfbench -exp chaos -quick -seed 1
-
-# Quick columnar-layout check: the columnar experiment errors unless the
-# encoded kernels return byte-identical results with identical physical
-# IO (see EXPERIMENTS.md, `columnar`); the speedup column is informative.
-columnar:
-	$(GO) run ./cmd/mpfbench -exp columnar -quick -seed 1
-
-# Quick end-to-end columnar check: the columnar-fuse experiment errors
-# unless the columnar sort and fused join+aggregate paths return
-# byte-identical results with identical physical IO versus row-major
-# (see EXPERIMENTS.md, `columnar-fuse`); the speedup column is
-# informative.
-columnar-fuse:
-	$(GO) run ./cmd/mpfbench -exp columnar-fuse -quick -seed 1
 
 # Snapshot-isolation chaos run under the race detector: analytical
 # readers concurrent with a sustained ingest stream on fault-injecting

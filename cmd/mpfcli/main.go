@@ -43,8 +43,6 @@ func main() {
 	command := flag.String("c", "", "execute one statement and exit")
 	frames := flag.Int("frames", 256, "buffer pool frames")
 	parallel := flag.Int("parallel", 0, "intra-query worker bound (0 or 1 = serial)")
-	workers := flag.Int("workers", 0, "morsel-scheduler worker bound (alias of -parallel; takes precedence when both are set)")
-	columnar := flag.Bool("columnar", false, "encode full heap pages columnar (dictionary/RLE segments)")
 	fuse := flag.Bool("fuse", false, "fuse GroupBy-over-Join pairs into a single non-materializing operator")
 	rcache := flag.Int64("result-cache", 0, "shared subplan result cache byte budget (0 = disabled)")
 	readahead := flag.Int("readahead", 0, "buffer-pool read-ahead distance in pages for sequential scans (0 = off)")
@@ -59,10 +57,7 @@ func main() {
 	if *planner != "" {
 		*strategy = *planner
 	}
-	if *workers != 0 {
-		*parallel = *workers
-	}
-	if err := run(*load, *scale, *density, *tables, *seed, *srName, *strategy, *script, *command, *frames, *parallel, *rcache, *readahead, *ioRetries, *planCache, *planBudget, *columnar, *fuse); err != nil {
+	if err := run(*load, *scale, *density, *tables, *seed, *srName, *strategy, *script, *command, *frames, *parallel, *rcache, *readahead, *ioRetries, *planCache, *planBudget, *fuse); err != nil {
 		fmt.Fprintf(os.Stderr, "mpfcli: %v [%s]\n", err, mpf.ErrorCode(err))
 		os.Exit(1)
 	}
@@ -71,12 +66,12 @@ func main() {
 // showMetrics controls the exit-time engine metrics report (-metrics).
 var showMetrics bool
 
-func run(load string, scale, density float64, tables int, seed int64, srName, strategy, script, command string, frames, parallel int, rcache int64, readahead, ioRetries, planCache int, planBudget time.Duration, columnar, fuse bool) error {
+func run(load string, scale, density float64, tables int, seed int64, srName, strategy, script, command string, frames, parallel int, rcache int64, readahead, ioRetries, planCache int, planBudget time.Duration, fuse bool) error {
 	sr, err := semiring.ByName(srName)
 	if err != nil {
 		return err
 	}
-	cfg := core.Config{Semiring: sr, PoolFrames: frames, Parallelism: parallel, ResultCacheBytes: rcache, ReadAhead: readahead, IORetries: ioRetries, PlanCacheEntries: planCache, PlanBudget: planBudget, Columnar: columnar, FuseJoinGroupBy: fuse}
+	cfg := core.Config{Semiring: sr, PoolFrames: frames, Parallelism: parallel, ResultCacheBytes: rcache, ReadAhead: readahead, IORetries: ioRetries, PlanCacheEntries: planCache, PlanBudget: planBudget, FuseJoinGroupBy: fuse}
 	if strategy != "" {
 		o, err := opt.ByName(strategy)
 		if err != nil {

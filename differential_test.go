@@ -11,23 +11,16 @@ import (
 	"mpf/internal/gen"
 	"mpf/internal/relation"
 	"mpf/internal/semiring"
-	"mpf/internal/storage"
 )
 
 // diffMode is one engine configuration of the differential test.
 type diffMode struct {
-	columnar, fuse, sortGroupBy bool
-	parallelism                 int
+	fuse, sortGroupBy bool
+	parallelism       int
 }
 
 func (m diffMode) String() string {
-	return fmt.Sprintf("columnar=%t/fuse=%t/par=%d/sortgb=%t", m.columnar, m.fuse, m.parallelism, m.sortGroupBy)
-}
-
-// serialKey names a serial mode's non-layout settings: the two layouts
-// of one key must do exactly the same physical page IO.
-func (m diffMode) serialKey() string {
-	return fmt.Sprintf("fuse=%t/sortgb=%t", m.fuse, m.sortGroupBy)
+	return fmt.Sprintf("fuse=%t/par=%d/sortgb=%t", m.fuse, m.parallelism, m.sortGroupBy)
 }
 
 // diffInput is one generated view with the query asked of it.
@@ -139,30 +132,27 @@ func canonical(r *Relation) string {
 }
 
 // TestQueryDifferential is a fixed-seed differential check over the
-// engine's execution modes: every combination of page layout, fused
-// join+aggregate, intra-query parallelism and sort-based aggregation runs
-// every optimizer's plan under every semiring, on star, linear and
-// multistar views. It asserts:
+// engine's execution modes: every combination of fused join+aggregate,
+// intra-query parallelism and sort-based aggregation runs every
+// optimizer's plan under every semiring, on star, linear and multistar
+// views. It asserts:
 //   - every mode agrees with MemoryExec on the same plan (exactly for
 //     semirings with idempotent Add, within float tolerance otherwise);
 //   - serial modes with the same aggregation strategy (hash or sort) are
 //     byte-identical to each other;
-//   - the two page layouts of each serial mode do identical physical page
-//     reads and writes;
 //   - parallel modes agree with serial execution, exactly where the
 //     semiring's Add is idempotent and within float tolerance otherwise.
 //
-// The buffer pool is small, so operators spill and evict and the IO
-// counters are not trivially zero. Under the race detector only the
-// even-seed inputs run.
+// Page layout is not an axis: base tables are always columnar and
+// temps row-major. internal/exec's TestLayoutIdentity compares the two
+// layouts, IO included. The buffer pool is small, so operators spill
+// and evict. Under the race detector only the even-seed inputs run.
 func TestQueryDifferential(t *testing.T) {
 	var modes []diffMode
-	for _, columnar := range []bool{false, true} {
-		for _, fuse := range []bool{false, true} {
-			for _, par := range []int{1, 4} {
-				for _, sortGB := range []bool{false, true} {
-					modes = append(modes, diffMode{columnar: columnar, fuse: fuse, parallelism: par, sortGroupBy: sortGB})
-				}
+	for _, fuse := range []bool{false, true} {
+		for _, par := range []int{1, 4} {
+			for _, sortGB := range []bool{false, true} {
+				modes = append(modes, diffMode{fuse: fuse, parallelism: par, sortGroupBy: sortGB})
 			}
 		}
 	}
@@ -184,50 +174,30 @@ func TestQueryDifferential(t *testing.T) {
 				if exact {
 					tol = 0
 				}
-				// Each layout's database plans with its own optimizer list
-				// seeded alike, so the randomized elimination heuristic
-				// draws the same plan in both.
-				dbs := make(map[bool]*Database, 2)
-				optimizers := make(map[bool][]Optimizer, 2)
-				for _, columnar := range []bool{false, true} {
-					db, err := Open(Config{Semiring: sr, PoolFrames: 16, Columnar: columnar, PlanCacheEntries: 64})
-					if err != nil {
+				db, err := Open(Config{Semiring: sr, PoolFrames: 16, PlanCacheEntries: 64})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { db.Close() })
+				for _, r := range rels {
+					if err := db.CreateTable(r); err != nil {
 						t.Fatal(err)
 					}
-					t.Cleanup(func() { db.Close() })
-					for _, r := range rels {
-						if err := db.CreateTable(r); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if err := db.CreateView(in.ds.Name, in.ds.ViewTables); err != nil {
-						t.Fatal(err)
-					}
-					dbs[columnar] = db
-					optimizers[columnar] = AllOptimizers(rand.New(rand.NewSource(1)))
+				}
+				if err := db.CreateView(in.ds.Name, in.ds.ViewTables); err != nil {
+					t.Fatal(err)
 				}
 				// Optimizers that agree on a plan would execute it
 				// identically, so each distinct plan runs through the modes
 				// once.
 				ran := make(map[string]bool)
-				for i, o := range optimizers[false] {
+				for _, o := range AllOptimizers(rand.New(rand.NewSource(1))) {
 					spec := in.spec
 					spec.Optimizer = o
 					spec.Exec = MemoryExec
-					oracle, err := dbs[false].Query(&spec)
+					oracle, err := db.Query(&spec)
 					if err != nil {
 						t.Fatalf("%s: memory exec: %v", o.Name(), err)
-					}
-					// Planning in the columnar database too keeps both
-					// optimizer lists' random draws in step when plans
-					// repeat below.
-					spec.Optimizer = optimizers[true][i]
-					twin, err := dbs[true].Query(&spec)
-					if err != nil {
-						t.Fatalf("%s: memory exec: %v", o.Name(), err)
-					}
-					if twin.Plan.String() != oracle.Plan.String() {
-						t.Fatalf("%s: the two databases planned differently", o.Name())
 					}
 					if ran[oracle.Plan.String()] {
 						continue
@@ -241,15 +211,13 @@ func TestQueryDifferential(t *testing.T) {
 					// through the oracle.
 					serial := make(map[bool]string, 2)
 					serialRel := make(map[bool]*Relation, 2)
-					serialIO := make(map[string]storage.Stats)
 					for _, m := range modes {
-						eng := dbs[m.columnar].Engine()
+						eng := db.Engine()
 						eng.FuseJoinGroupBy = m.fuse
 						eng.Parallelism = m.parallelism
 						eng.SortGroupBy = m.sortGroupBy
 						eng.SortRunTuples = 4096 // large sorts spill several runs and merge
-						spec.Optimizer = optimizers[m.columnar][i]
-						res, err := dbs[m.columnar].Query(&spec)
+						res, err := db.Query(&spec)
 						if err != nil {
 							t.Fatalf("%s %v: %v", o.Name(), m, err)
 						}
@@ -268,13 +236,6 @@ func TestQueryDifferential(t *testing.T) {
 							serial[m.sortGroupBy], serialRel[m.sortGroupBy] = got, res.Relation
 						} else if got != ref {
 							t.Fatalf("%s %v: serial result not byte-identical to the first serial mode", o.Name(), m)
-						}
-						io := storage.Stats{Reads: res.Exec.IO.Reads, Writes: res.Exec.IO.Writes}
-						if prev, ok := serialIO[m.serialKey()]; !ok {
-							serialIO[m.serialKey()] = io
-						} else if prev != io {
-							t.Fatalf("%s %v: page IO %d reads/%d writes, other layout %d/%d",
-								o.Name(), m, io.Reads, io.Writes, prev.Reads, prev.Writes)
 						}
 					}
 				}

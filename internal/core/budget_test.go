@@ -12,33 +12,31 @@ import (
 // the temp-tuple bound fails with ErrBudget, cleanly (no pinned frames),
 // and that the same query under a generous budget succeeds.
 func TestBudgetTempTuples(t *testing.T) {
-	for _, columnar := range []bool{false, true} {
-		db, _ := openSupplyChain(t, Config{PoolFrames: 64, Columnar: columnar})
-		spec := &QuerySpec{View: "invest", GroupVars: []string{"wid"}}
+	db, _ := openSupplyChain(t, Config{PoolFrames: 64})
+	spec := &QuerySpec{View: "invest", GroupVars: []string{"wid"}}
 
-		ctx := exec.WithBudget(context.Background(), exec.Budget{MaxTempTuples: 8})
-		res, err := db.QueryContext(ctx, spec)
-		if err == nil {
-			t.Fatalf("columnar=%t: tiny temp-tuple budget should fail", columnar)
-		}
-		if !errors.Is(err, ErrBudget) {
-			t.Fatalf("columnar=%t: error %v does not match ErrBudget", columnar, err)
-		}
-		var be *exec.BudgetError
-		if !errors.As(err, &be) || be.Resource != "temp-tuples" {
-			t.Fatalf("columnar=%t: want *BudgetError over temp-tuples, got %v", columnar, err)
-		}
-		if res == nil {
-			t.Fatalf("columnar=%t: failed query should still return partial stats", columnar)
-		}
-		if n := db.Pool().Pinned(); n != 0 {
-			t.Fatalf("columnar=%t: %d frames left pinned after budget failure", columnar, n)
-		}
+	ctx := exec.WithBudget(context.Background(), exec.Budget{MaxTempTuples: 8})
+	res, err := db.QueryContext(ctx, spec)
+	if err == nil {
+		t.Fatal("tiny temp-tuple budget should fail")
+	}
+	if !errors.Is(err, ErrBudget) {
+		t.Fatalf("error %v does not match ErrBudget", err)
+	}
+	var be *exec.BudgetError
+	if !errors.As(err, &be) || be.Resource != "temp-tuples" {
+		t.Fatalf("want *BudgetError over temp-tuples, got %v", err)
+	}
+	if res == nil {
+		t.Fatal("failed query should still return partial stats")
+	}
+	if n := db.Pool().Pinned(); n != 0 {
+		t.Fatalf("%d frames left pinned after budget failure", n)
+	}
 
-		ctx = exec.WithBudget(context.Background(), exec.Budget{MaxTempTuples: 1 << 30})
-		if _, err := db.QueryContext(ctx, spec); err != nil {
-			t.Fatalf("columnar=%t: generous budget should pass: %v", columnar, err)
-		}
+	ctx = exec.WithBudget(context.Background(), exec.Budget{MaxTempTuples: 1 << 30})
+	if _, err := db.QueryContext(ctx, spec); err != nil {
+		t.Fatalf("generous budget should pass: %v", err)
 	}
 }
 

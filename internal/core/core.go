@@ -60,15 +60,6 @@ type Config struct {
 	// IO counts reproduce the paper's cost model exactly (see
 	// exec.Engine.ReadAhead).
 	ReadAhead int
-	// Columnar selects the page layout: when true, every heap page that
-	// fills — base tables and intermediates alike — is re-encoded with
-	// the per-page columnar layout (dictionary/run-length column segments
-	// where they pay for themselves); otherwise pages stay row-major. It
-	// is a layout choice only: the executor runs the same encoded-batch
-	// kernels over either layout. Results are byte-identical across
-	// layouts; page counts, and therefore the paper's IO cost model, are
-	// unchanged (the encoding compresses within pages, never across them).
-	Columnar bool
 	// FuseJoinGroupBy, when true, pipelines GroupBy-over-Join plan pairs
 	// through a single fused operator that aggregates probe matches as
 	// they are produced, never materializing the join output (see
@@ -169,7 +160,6 @@ func Open(cfg Config) (*Database, error) {
 	engine := exec.NewEngine(pool, factory, cfg.Semiring)
 	engine.Parallelism = cfg.Parallelism
 	engine.ReadAhead = cfg.ReadAhead
-	engine.Columnar = cfg.Columnar
 	engine.FuseJoinGroupBy = cfg.FuseJoinGroupBy
 	db := &Database{
 		cfg:     cfg,
@@ -760,7 +750,7 @@ func (db *Database) execute(ctx context.Context, q *QuerySpec, info planInfo, sn
 			}
 		}()
 		for name, h := range q.Hypothetical {
-			ht, err := exec.LoadRelationColumnar(db.pool, db.factory, h, db.cfg.Columnar)
+			ht, err := exec.LoadRelation(db.pool, db.factory, h)
 			if err != nil {
 				return out, err
 			}

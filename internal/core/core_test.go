@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"mpf/internal/exec"
 	"mpf/internal/gen"
 	"mpf/internal/opt"
 	"mpf/internal/relation"
@@ -240,5 +241,73 @@ func TestFileBackedDatabase(t *testing.T) {
 	}
 	if res.Exec.IO.Reads == 0 {
 		t.Fatal("file-backed run with a 16-frame pool should do physical IO")
+	}
+}
+
+// TestPageLayoutFollowsWriter pins the layout rule: the heaps a commit
+// loads (CreateTable, Insert) are columnar, so they raise
+// EncodingStats.PagesEncoded, while the heaps a query's operators write
+// stay row-major, so no query — hash, spilled sort, fused, or one that
+// fills the result cache — encodes a page.
+func TestPageLayoutFollowsWriter(t *testing.T) {
+	db, err := Open(Config{PoolFrames: 16, ResultCacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	encoded := func() int64 { return db.Pool().EncodingStats().PagesEncoded }
+	r := relation.MustNew("r", []relation.Attr{{Name: "a", Domain: 120}, {Name: "b", Domain: 40}})
+	for a := int32(0); a < 100; a++ {
+		for b := int32(0); b < 40; b++ {
+			r.MustAppend([]int32{a, b}, float64(a%7+b%5+1))
+		}
+	}
+	s, err := relation.Complete("s", []relation.Attr{{Name: "b", Domain: 40}, {Name: "c", Domain: 120}},
+		func(vals []int32) float64 { return float64(vals[1]%5) + 1 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := encoded()
+	for _, rel := range []*relation.Relation{r, s} {
+		if err := db.CreateTable(rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.CreateView("rs", []string{"r", "s"}); err != nil {
+		t.Fatal(err)
+	}
+	afterCreate := encoded()
+	if afterCreate == before {
+		t.Fatal("CreateTable encoded no pages")
+	}
+	if err := db.Insert("r", []int32{110, 3}, 2); err != nil {
+		t.Fatal(err)
+	}
+	afterInsert := encoded()
+	if afterInsert == afterCreate {
+		t.Fatal("Insert encoded no pages")
+	}
+	for _, mode := range []struct {
+		name string
+		tune func(*exec.Engine)
+	}{
+		{"hash", func(e *exec.Engine) {}},
+		{"sort", func(e *exec.Engine) { e.SortGroupBy, e.SortRunTuples = true, 256 }},
+		{"fused", func(e *exec.Engine) { e.SortGroupBy, e.FuseJoinGroupBy = false, true }},
+	} {
+		mode.tune(db.Engine())
+		for pass := 0; pass < 2; pass++ {
+			for _, gv := range []string{"a", "b", "c"} {
+				if _, err := db.Query(&QuerySpec{View: "rs", GroupVars: []string{gv}}); err != nil {
+					t.Fatalf("%s %s: %v", mode.name, gv, err)
+				}
+				if got := encoded(); got != afterInsert {
+					t.Fatalf("%s %s pass %d: query encoded %d pages", mode.name, gv, pass, got-afterInsert)
+				}
+			}
+		}
+	}
+	if st := db.Metrics().ResultCache; st.Hits == 0 {
+		t.Fatalf("result cache never hit; its entries were not exercised: %+v", st)
 	}
 }

@@ -295,13 +295,13 @@ func (db *Database) beginCommit() *commit {
 }
 
 // loadTable materializes a relation into a fresh heap for this commit:
-// load (columnar-encoded when configured), rebuild the requested hash
+// load (columnar-encoded, like every base table), rebuild the requested hash
 // indexes, then flush the generation's dirty pages so the commit is
 // durable before it becomes visible. Any failure drops the partial
 // heap and returns the typed storage error.
 func (c *commit) loadTable(r *relation.Relation, indexAttrs []string) (*exec.Table, error) {
 	db := c.db
-	t, err := exec.LoadRelationColumnar(db.pool, db.factory, r, db.cfg.Columnar)
+	t, err := exec.LoadRelation(db.pool, db.factory, r)
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"mpf/internal/catalog"
 	"mpf/internal/relation"
 )
 
@@ -32,28 +31,24 @@ func dumpTable(t *testing.T, tb *Table) ([]int32, []float64) {
 	return vals, meas
 }
 
-// sortBothLayouts externally sorts tb by cols writing row-major and then
-// columnar sort runs and returns both storage-order dumps. The table
-// stays loaded through the columnar encoder in both runs; only the
-// layout of the spilled runs and merge outputs changes.
-func sortBothLayouts(t *testing.T, h *harness, tb *Table, cols []int, runTuples int) (rv, cv []int32, rm, cm []float64) {
+// sortBothLayouts externally sorts r by cols twice, once loaded
+// row-major and once loaded columnar, and returns both storage-order
+// dumps. The sort runs and merge outputs are row-major temps either way;
+// only the layout the run generation reads changes.
+func sortBothLayouts(t *testing.T, r *relation.Relation, cols []int, runTuples int) (rv, cv []int32, rm, cm []float64) {
 	t.Helper()
 	ctx := context.Background()
-	h.engine.SortRunTuples = runTuples
-	h.engine.Columnar = false
-	rowOut, err := h.engine.externalSort(ctx, tb, cols, &RunStats{})
-	if err != nil {
-		t.Fatal(err)
+	sorted := func(h *harness) *Table {
+		h.engine.SortRunTuples = runTuples
+		out, err := h.engine.externalSort(ctx, h.tables[r.Name()], cols, &RunStats{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { out.Drop() })
+		return out
 	}
-	defer rowOut.Drop()
-	h.engine.Columnar = true
-	colOut, err := h.engine.externalSort(ctx, tb, cols, &RunStats{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer colOut.Drop()
-	rv, rm = dumpTable(t, rowOut)
-	cv, cm = dumpTable(t, colOut)
+	rv, rm = dumpTable(t, sorted(newHarness(t, 4096, r)))
+	cv, cm = dumpTable(t, sorted(columnarHarness(t, 4096, r)))
 	return rv, cv, rm, cm
 }
 
@@ -93,31 +88,14 @@ func fuzzSortRelation(seed int64, rows, arity int) *relation.Relation {
 	return r
 }
 
-// loadFuzzTable loads r through the columnar encoder into a fresh
-// harness.
-func loadFuzzTable(t *testing.T, r *relation.Relation) (*harness, *Table) {
-	t.Helper()
-	h := newHarness(t, 4096)
-	tb, err := LoadRelationColumnar(h.pool, h.engine.Factory, r, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.tables[r.Name()] = tb
-	if err := h.cat.AddTable(catalog.AnalyzeRelation(r)); err != nil {
-		t.Fatal(err)
-	}
-	return h, tb
-}
-
-// checkSortEquivalence sorts a fuzz relation with row-major and with
-// columnar sort runs and requires the two outputs to match byte for
+// checkSortEquivalence sorts a fuzz relation loaded row-major and loaded
+// columnar and requires the two outputs to match byte for
 // byte, measures included, and to be a permutation of the input sorted
 // on cols.
 func checkSortEquivalence(t *testing.T, seed int64, rows, arity, runTuples int, cols []int) {
 	t.Helper()
 	r := fuzzSortRelation(seed, rows, arity)
-	h, tb := loadFuzzTable(t, r)
-	rv, cv, rm, cm := sortBothLayouts(t, h, tb, cols, runTuples)
+	rv, cv, rm, cm := sortBothLayouts(t, r, cols, runTuples)
 	if len(rv) != len(cv) || len(rm) != len(cm) {
 		t.Fatalf("seed %d cols %v: size mismatch: row %d/%d columnar %d/%d",
 			seed, cols, len(rv), len(rm), len(cv), len(cm))
@@ -260,13 +238,13 @@ func TestColumnarSortMorselAttribution(t *testing.T) {
 		t.Fatalf("Sort morsels report no busy time: %+v", m)
 	}
 
-	// Exact-count check under work stealing: a direct columnar external
-	// sort over a table of known cardinality must submit EXACTLY one
+	// Exact-count check under work stealing: a direct external sort of a
+	// columnar table of known cardinality must submit EXACTLY one
 	// "Sort" morsel per spilled run — ceil(n/runSize) — no matter which
 	// worker (or the submitting goroutine itself) steals each task.
 	r := fuzzSortRelation(97, 1500, 3)
-	dh, tb := loadFuzzTable(t, r)
-	dh.engine.Columnar = true
+	dh := columnarHarness(t, 4096, r)
+	tb := dh.tables[r.Name()]
 	dh.engine.SortRunTuples = 128
 	dst := &RunStats{sched: newMorselSched(4)}
 	defer dst.sched.close()

@@ -39,8 +39,8 @@ var columnarModes = []struct {
 	{"columnar", true},
 }
 
-// colHarness loads rels with the requested page layout and switches the
-// engine's encoded kernels to match.
+// colHarness loads rels with the requested base-table page layout; the
+// engine's own temps are row-major in both modes.
 func colHarness(b *testing.B, frames int, columnar bool, rels ...*relation.Relation) *harness {
 	b.Helper()
 	if !columnar {

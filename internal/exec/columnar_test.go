@@ -9,7 +9,6 @@ import (
 
 	"context"
 
-	"mpf/internal/catalog"
 	"mpf/internal/plan"
 	"mpf/internal/relation"
 	"mpf/internal/semiring"
@@ -29,23 +28,10 @@ func smallDomainRels(seed int64) (*relation.Relation, *relation.Relation) {
 	return a, b
 }
 
-// columnarHarness is newHarness with the base tables loaded through the
-// columnar page encoder and the engine writing columnar intermediates.
+// columnarHarness is newHarness with the base tables loaded by
+// LoadRelation, so they hold columnar pages as in the engine.
 func columnarHarness(t testing.TB, frames int, rels ...*relation.Relation) *harness {
-	t.Helper()
-	h := newHarness(t, frames)
-	for _, r := range rels {
-		tb, err := LoadRelationColumnar(h.pool, h.engine.Factory, r, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.tables[r.Name()] = tb
-		if err := h.cat.AddTable(catalog.AnalyzeRelation(r)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h.engine.Columnar = true
-	return h
+	return loadHarness(t, frames, LoadRelation, rels...)
 }
 
 // pipelinePlan builds σ(Z=2) over a, joined with b, grouped on X — every

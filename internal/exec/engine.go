@@ -53,13 +53,6 @@ type Engine struct {
 	// reproduce the paper's cost model exactly; see Pool.Prefetch for the
 	// accounting when enabled.
 	ReadAhead int
-	// Columnar selects the page layout of the intermediate heaps the
-	// engine writes: the columnar page format (storage.SetColumnar) when
-	// true, row-major otherwise. It does not select operators — every
-	// operator runs the same encoded-batch kernels, which read both
-	// layouts. Results are byte-identical either way; page counts (and so
-	// IO) are unchanged.
-	Columnar bool
 }
 
 // NewEngine returns an engine with hash-based operators.
@@ -400,21 +393,10 @@ func opKind(p *plan.Node) string {
 
 // execOp dispatches one operator. The returned duration and stats sum
 // the inclusive wall time and IO of the operator's direct children,
-// letting exec compute exclusive self figures. At the plan root, the
-// operator body runs under a root-output marker (see newOutTemp):
-// children still execute unmarked, so only the final output heap skips
-// columnar re-encoding.
+// letting exec compute exclusive self figures.
 func (e *Engine) execOp(ctx context.Context, p *plan.Node, env *runEnv, depth int) (*Table, time.Duration, storage.Stats, error) {
 	st := env.st
 	st.Operators++
-	bctx := ctx
-	if depth == 0 {
-		// Cache-registered outputs are re-read by later queries — possibly
-		// through the encoded kernels — so they keep encoding.
-		if _, cacheable := env.cacheKey(p); !cacheable {
-			bctx = context.WithValue(ctx, rootOutCtxKey{}, true)
-		}
-	}
 	switch p.Op {
 	case plan.OpScan:
 		out, err := env.resolve(p.Table)
@@ -424,7 +406,7 @@ func (e *Engine) execOp(ctx context.Context, p *plan.Node, env *runEnv, depth in
 		if err != nil {
 			return nil, childWall, childIO, err
 		}
-		out, err := e.selectOp(bctx, in, p.Pred, st)
+		out, err := e.selectOp(ctx, in, p.Pred, st)
 		dropInput(in, err == nil)
 		return out, childWall, childIO, err
 	case plan.OpJoin:
@@ -440,15 +422,15 @@ func (e *Engine) execOp(ctx context.Context, p *plan.Node, env *runEnv, depth in
 		}
 		var out *Table
 		if e.SortJoin {
-			out, err = e.sortMergeJoin(bctx, l, r, st)
+			out, err = e.sortMergeJoin(ctx, l, r, st)
 		} else {
-			out, err = e.hashJoin(bctx, l, r, st)
+			out, err = e.hashJoin(ctx, l, r, st)
 		}
 		dropInput(l, err == nil)
 		dropInput(r, err == nil)
 		return out, lWall + rWall, childIO, err
 	case plan.OpGroupBy:
-		if fused, childWall, childIO, err := e.tryFuse(ctx, bctx, p, env, depth); err != nil || fused != nil {
+		if fused, childWall, childIO, err := e.tryFuse(ctx, p, env, depth); err != nil || fused != nil {
 			return fused, childWall, childIO, err
 		}
 		in, childWall, childIO, err := e.exec(ctx, p.Left, env, depth+1)
@@ -457,9 +439,9 @@ func (e *Engine) execOp(ctx context.Context, p *plan.Node, env *runEnv, depth in
 		}
 		var out *Table
 		if e.SortGroupBy {
-			out, err = e.sortGroupBy(bctx, in, p.GroupVars, st)
+			out, err = e.sortGroupBy(ctx, in, p.GroupVars, st)
 		} else {
-			out, err = e.hashGroupBy(bctx, in, p.GroupVars, st)
+			out, err = e.hashGroupBy(ctx, in, p.GroupVars, st)
 		}
 		dropInput(in, err == nil)
 		return out, childWall, childIO, err
@@ -482,38 +464,20 @@ func dropInput(t *Table, report bool) {
 	}
 }
 
-// newTemp creates a temporary output table with the given schema. The
-// heap is bound to ctx: appends that miss in the pool observe it.
+// newTemp creates a temporary table with the given schema: an
+// operator's output, a Grace partition, a sort run or a merge output.
+// The heap is bound to ctx: appends that miss in the pool observe it.
+// Heaps an operator writes stay row-major. Each is read back once or a
+// few times, so encoding its pages costs more CPU than its scans save;
+// base tables, written once by LoadRelation and scanned by every query,
+// are the columnar ones.
 func (e *Engine) newTemp(ctx context.Context, name string, attrs []relation.Attr) (*Table, error) {
 	h, err := storage.NewTempHeap(e.Pool, e.Factory, len(attrs))
 	if err != nil {
 		return nil, err
 	}
 	h.SetContext(ctx)
-	h.SetColumnar(e.Columnar)
 	return &Table{Name: name, Attrs: attrs, Heap: h, temp: true}, nil
-}
-
-// rootOutCtxKey marks an operator-body context whose output temp is the
-// plan root's result: it is read back exactly once (row-at-a-time) and
-// dropped, so columnar re-encoding it is pure overhead. execOp sets the
-// marker only around the depth-0 operator body of non-cacheable plans —
-// cache-registered outputs are re-scanned by later queries and keep
-// encoding, as do intra-operator scratch temps (Grace partitions, sort
-// runs), which are created through newTemp and never see the marker.
-type rootOutCtxKey struct{}
-
-// newOutTemp creates an operator's output temp, leaving the heap
-// row-major when ctx carries the root-output marker.
-func (e *Engine) newOutTemp(ctx context.Context, name string, attrs []relation.Attr) (*Table, error) {
-	t, err := e.newTemp(ctx, name, attrs)
-	if err != nil {
-		return nil, err
-	}
-	if ctx.Value(rootOutCtxKey{}) != nil {
-		t.Heap.SetColumnar(false)
-	}
-	return t, nil
 }
 
 // ctxPollInterval bounds how many inner-loop iterations run between
@@ -570,7 +534,7 @@ func (e *Engine) selectOp(ctx context.Context, in *Table, pred relation.Predicat
 		cols = append(cols, c)
 		want = append(want, val)
 	}
-	out, err := e.newOutTemp(ctx, "σ("+in.Name+")", in.Attrs)
+	out, err := e.newTemp(ctx, "σ("+in.Name+")", in.Attrs)
 	if err != nil {
 		return nil, err
 	}
@@ -612,7 +576,7 @@ func (e *Engine) hashJoin(ctx context.Context, l, r *Table, st *RunStats) (*Tabl
 	if err != nil {
 		return nil, err
 	}
-	out, err := e.newOutTemp(ctx, "("+l.Name+"⋈*"+r.Name+")", outAttrs)
+	out, err := e.newTemp(ctx, "("+l.Name+"⋈*"+r.Name+")", outAttrs)
 	if err != nil {
 		return nil, err
 	}
@@ -680,7 +644,7 @@ func (e *Engine) hashGroupBy(ctx context.Context, in *Table, groupVars []string,
 	if err != nil {
 		return nil, err
 	}
-	out, err := e.newOutTemp(ctx, "γ("+in.Name+")", outAttrs)
+	out, err := e.newTemp(ctx, "γ("+in.Name+")", outAttrs)
 	if err != nil {
 		return nil, err
 	}

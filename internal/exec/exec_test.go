@@ -22,7 +22,15 @@ type harness struct {
 	tables map[string]*Table
 }
 
+// newHarness loads the relations row-major (loadRowMajor), so the
+// row-major side of every layout comparison really reads row-major
+// pages; columnarHarness loads them the way the engine does.
 func newHarness(t testing.TB, frames int, rels ...*relation.Relation) *harness {
+	return loadHarness(t, frames, loadRowMajor, rels...)
+}
+
+// loadHarness builds a harness whose base tables are loaded by load.
+func loadHarness(t testing.TB, frames int, load func(*storage.Pool, storage.DiskFactory, *relation.Relation) (*Table, error), rels ...*relation.Relation) *harness {
 	t.Helper()
 	pool := storage.NewPool(frames)
 	factory := storage.MemDiskFactory()
@@ -33,7 +41,7 @@ func newHarness(t testing.TB, frames int, rels ...*relation.Relation) *harness {
 		tables: make(map[string]*Table),
 	}
 	for _, r := range rels {
-		tb, err := LoadRelation(pool, factory, r)
+		tb, err := load(pool, factory, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,6 +51,22 @@ func newHarness(t testing.TB, frames int, rels ...*relation.Relation) *harness {
 		}
 	}
 	return h
+}
+
+// loadRowMajor is LoadRelation without the columnar encoding: every page
+// of the heap stays row-major. Tests use it for the row-major side of
+// layout comparisons; the engine itself never writes a row-major base
+// table.
+func loadRowMajor(pool *storage.Pool, factory storage.DiskFactory, r *relation.Relation) (*Table, error) {
+	h, err := storage.NewTempHeap(pool, factory, r.Arity())
+	if err != nil {
+		return nil, err
+	}
+	if err := h.AppendRows(r.Data()); err != nil {
+		h.Drop()
+		return nil, err
+	}
+	return &Table{Name: r.Name(), Attrs: append([]relation.Attr(nil), r.Attrs()...), Heap: h}, nil
 }
 
 func (h *harness) builder() *plan.Builder {

@@ -70,11 +70,8 @@ func (e *groupVarError) Error() string {
 // duration and stats sum the inclusive wall time and IO of the child
 // subtrees it executed, for exclusive accounting in exec. Fused
 // grandchildren record their spans at depth+1: the elided Join node gets
-// no span of its own, so the trace tree stays contiguous. bctx is the
-// operator-body context from execOp (root-output marked at depth 0) and
-// is used only for the calls that produce this node's output; child
-// subtrees and the intermediate Grace join run under the plain ctx.
-func (e *Engine) tryFuse(ctx, bctx context.Context, p *plan.Node, env *runEnv, depth int) (*Table, time.Duration, storage.Stats, error) {
+// no span of its own, so the trace tree stays contiguous.
+func (e *Engine) tryFuse(ctx context.Context, p *plan.Node, env *runEnv, depth int) (*Table, time.Duration, storage.Stats, error) {
 	if !e.FuseJoinGroupBy || p.Op != plan.OpGroupBy || p.Left == nil || p.Left.Op != plan.OpJoin {
 		return nil, 0, storage.Stats{}, nil
 	}
@@ -106,12 +103,12 @@ func (e *Engine) tryFuse(ctx, bctx context.Context, p *plan.Node, env *runEnv, d
 		if err != nil {
 			return nil, childWall, childIO, err
 		}
-		out, err := e.hashGroupBy(bctx, jt, p.GroupVars, st)
+		out, err := e.hashGroupBy(ctx, jt, p.GroupVars, st)
 		dropInput(jt, err == nil)
 		return out, childWall, childIO, err
 	}
 	st.Operators++ // the caller counted the GroupBy; count the fused join
-	out, err := e.fusedJoinGroupBy(bctx, l, r, p.GroupVars, st)
+	out, err := e.fusedJoinGroupBy(ctx, l, r, p.GroupVars, st)
 	dropInput(l, err == nil)
 	dropInput(r, err == nil)
 	return out, childWall, childIO, err

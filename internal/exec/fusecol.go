@@ -312,7 +312,7 @@ func (e *Engine) fusedColBatch(ctx context.Context, l, r, build, probe *Table, b
 	if err := it.Err(); err != nil {
 		return nil, err
 	}
-	out, err := e.newOutTemp(ctx, "γ⋈("+l.Name+","+r.Name+")", aggAttrs)
+	out, err := e.newTemp(ctx, "γ⋈("+l.Name+","+r.Name+")", aggAttrs)
 	if err != nil {
 		return nil, err
 	}

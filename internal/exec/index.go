@@ -120,7 +120,7 @@ func (e *Engine) indexedSelect(ctx context.Context, in *Table, pred relation.Pre
 		residCols = append(residCols, c)
 		residWant = append(residWant, val)
 	}
-	out, err := e.newOutTemp(ctx, "σix("+in.Name+")", in.Attrs)
+	out, err := e.newTemp(ctx, "σix("+in.Name+")", in.Attrs)
 	if err != nil {
 		return nil, err
 	}

@@ -58,7 +58,7 @@ func (e *Engine) parallelHashGroupBy(ctx context.Context, in *Table, cols []int,
 		return nil, err
 	}
 	defer dropAll(parts)
-	out, err := e.newOutTemp(ctx, "γ("+in.Name+")", outAttrs)
+	out, err := e.newTemp(ctx, "γ("+in.Name+")", outAttrs)
 	if err != nil {
 		return nil, err
 	}

@@ -207,7 +207,7 @@ func (e *Engine) sortGroupBy(ctx context.Context, in *Table, groupVars []string,
 	}
 	defer sorted.Drop()
 
-	out, err := e.newOutTemp(ctx, "γ("+in.Name+")", outAttrs)
+	out, err := e.newTemp(ctx, "γ("+in.Name+")", outAttrs)
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +241,7 @@ func (e *Engine) sortMergeJoin(ctx context.Context, l, r *Table, st *RunStats) (
 	}
 	defer rs.Drop()
 
-	out, err := e.newOutTemp(ctx, "("+l.Name+"⋈*"+r.Name+")", outAttrs)
+	out, err := e.newTemp(ctx, "("+l.Name+"⋈*"+r.Name+")", outAttrs)
 	if err != nil {
 		return nil, err
 	}

@@ -102,26 +102,21 @@ func (t *Table) Drop() error {
 
 // LoadRelation materializes an in-memory relation into a fresh heap file
 // from the factory, registered with the pool. It is how base tables enter
-// the engine.
+// the engine, and it always writes the columnar page layout: a base table
+// is written once and scanned by every query, so encoding each page as it
+// fills (dictionary/run-length segments where they pay for themselves)
+// repays its CPU many times over. Rows go in one page-sized batch at a
+// time, one pin per page. Page counts, and so the IO cost model, are those
+// of the row-major layout; results read back identical.
 func LoadRelation(pool *storage.Pool, factory storage.DiskFactory, r *relation.Relation) (*Table, error) {
-	return LoadRelationColumnar(pool, factory, r, false)
-}
-
-// LoadRelationColumnar is LoadRelation with a columnar switch: when on,
-// every heap page that fills during the load is re-encoded in place with
-// the per-page columnar layout (dictionary/run-length where they pay for
-// themselves), so scans of the base table serve encoded batches.
-func LoadRelationColumnar(pool *storage.Pool, factory storage.DiskFactory, r *relation.Relation, columnar bool) (*Table, error) {
 	h, err := storage.NewTempHeap(pool, factory, r.Arity())
 	if err != nil {
 		return nil, err
 	}
-	h.SetColumnar(columnar)
-	for i := 0; i < r.Len(); i++ {
-		if err := h.Append(r.Row(i), r.Measure(i)); err != nil {
-			h.Drop()
-			return nil, err
-		}
+	h.SetColumnar(true)
+	if err := h.AppendRows(r.Data()); err != nil {
+		h.Drop()
+		return nil, err
 	}
 	return &Table{Name: r.Name(), Attrs: append([]relation.Attr(nil), r.Attrs()...), Heap: h}, nil
 }

@@ -14,14 +14,14 @@ import (
 )
 
 // chaosMode is one engine configuration the chaos matrix replays: a
-// serial session over columnar pages and a parallel one over row-major
-// pages with read-ahead and the result cache, so fault injection covers
-// both page layouts. tol is the
-// answer-comparison tolerance against the fault-free reference: serial
-// execution is bit-deterministic, so any deviation at all is a failure;
-// parallel partition pairs append join output in completion order, so
-// injected latency reorders downstream float summation — answers then
-// agree only up to associativity rounding, never beyond tol.
+// serial session and a parallel one with read-ahead and the result
+// cache. Both read columnar base tables and write row-major temps, so
+// fault injection covers both page layouts. tol is the answer-comparison
+// tolerance against the fault-free reference: serial execution is
+// bit-deterministic, so any deviation at all is a failure; parallel
+// partition pairs append join output in completion order, so injected
+// latency reorders downstream float summation — answers then agree only
+// up to associativity rounding, never beyond tol.
 type chaosMode struct {
 	name string
 	cfg  core.Config
@@ -32,7 +32,7 @@ type chaosMode struct {
 // exercises the fault paths if queries perform real page reads.
 func chaosModes() []chaosMode {
 	return []chaosMode{
-		{"serial+columnar", core.Config{PoolFrames: 32, Columnar: true}, 0},
+		{"serial", core.Config{PoolFrames: 32}, 0},
 		{"par+batch+cache", core.Config{PoolFrames: 32, Parallelism: 4, ReadAhead: 8, ResultCacheBytes: 4 << 20}, 1e-6},
 	}
 }

@@ -50,14 +50,8 @@ type Config struct {
 	// pages applied to experiment sessions (0 = off). batch-exec overrides
 	// it per run.
 	ReadAhead int
-	// Columnar selects the per-page columnar layout for experiment
-	// sessions. The columnar experiment compares the two layouts itself
-	// regardless of this setting.
-	Columnar bool
 	// Fuse pipelines GroupBy-over-Join pairs through the fused
-	// non-materializing operator for experiment sessions. The
-	// columnar-fuse experiment compares fused paths itself regardless of
-	// this setting.
+	// non-materializing operator for experiment sessions.
 	Fuse bool
 	// FaultSeed, when non-zero, backs every experiment session with a
 	// seeded storage.FaultDisk injecting transient read/write faults at 2%
@@ -167,8 +161,6 @@ func Registry() []struct {
 		{"chaos", Chaos},
 		{"plan-cache", PlanCacheExp},
 		{"loadgen", LoadGen},
-		{"columnar", ColumnarExec},
-		{"columnar-fuse", ColumnarFuse},
 		{"mvcc", MVCC},
 	}
 }
@@ -214,13 +206,12 @@ type session struct {
 
 // sessionConfig translates the experiment config into an engine config:
 // buffer-pool size plus the execution knobs every session shares
-// (parallelism, batch width, read-ahead distance, fault injection).
+// (parallelism, read-ahead distance, fusion, plan cache, fault injection).
 func sessionConfig(cfg Config, frames int) core.Config {
 	ccfg := core.Config{
 		PoolFrames:       frames,
 		Parallelism:      cfg.Parallelism,
 		ReadAhead:        cfg.ReadAhead,
-		Columnar:         cfg.Columnar,
 		FuseJoinGroupBy:  cfg.Fuse,
 		PlanCacheEntries: cfg.PlanCacheEntries,
 		PlanBudget:       cfg.PlanBudget,

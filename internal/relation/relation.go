@@ -140,6 +140,11 @@ func (r *Relation) Row(row int) []int32 {
 	return r.vals[row*a : row*a+a]
 }
 
+// Data returns every row at once: the variable values back to back in
+// row order (row i at vals[i*Arity():(i+1)*Arity()]) and one measure per
+// row. Both slices alias internal storage and must not be modified.
+func (r *Relation) Data() (vals []int32, measures []float64) { return r.vals, r.measures }
+
 // Measure returns the measure of the given row.
 func (r *Relation) Measure(row int) float64 { return r.measures[row] }
 

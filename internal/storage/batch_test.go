@@ -95,8 +95,8 @@ func TestAppendRowsMatchesAppend(t *testing.T) {
 }
 
 // TestBatchScanMatchesTupleScan: the batch iterator must yield exactly
-// the tuple iterator's stream, for whole-page batches and for every
-// batch-size cap, including sizes that straddle page boundaries.
+// the tuple iterator's stream, one batch per page: full pages hold
+// TuplesPerPage rows and only the last batch may be shorter.
 func TestBatchScanMatchesTupleScan(t *testing.T) {
 	pool := NewPool(16)
 	h, err := NewHeap(pool, NewMemDisk(), 2)
@@ -104,40 +104,39 @@ func TestBatchScanMatchesTupleScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 3001
+	per := TuplesPerPage(2)
 	vals, meas := fillHeap(t, h, n, 2)
-	for _, size := range []int{0, 1, 7, 100, TuplesPerPage(2), TuplesPerPage(2) + 1, 1 << 20} {
-		it := h.ScanBatches()
-		it.SetBatchSize(size)
-		i := 0
-		for {
-			b, ok := it.Next()
-			if !ok {
-				break
-			}
-			if size > 0 && b.Len() > size {
-				t.Fatalf("size %d: batch of %d rows", size, b.Len())
-			}
-			if b.Len() > TuplesPerPage(2) {
-				t.Fatalf("batch of %d rows spans pages", b.Len())
-			}
-			for j := 0; j < b.Len(); j++ {
-				row := b.Row(j)
-				if row[0] != vals[i*2] || row[1] != vals[i*2+1] ||
-					math.Float64bits(b.Measures[j]) != math.Float64bits(meas[i]) {
-					t.Fatalf("size %d: tuple %d mismatch", size, i)
-				}
-				i++
-			}
+	it := h.ScanBatches()
+	i, batches := 0, 0
+	for {
+		b, ok := it.Next()
+		if !ok {
+			break
 		}
-		if err := it.Err(); err != nil {
-			t.Fatal(err)
+		batches++
+		if want := min(per, n-i); b.Len() != want {
+			t.Fatalf("batch %d holds %d rows, want a whole page of %d", batches, b.Len(), want)
 		}
-		if err := it.Close(); err != nil {
-			t.Fatal(err)
+		for j := 0; j < b.Len(); j++ {
+			row := b.Row(j)
+			if row[0] != vals[i*2] || row[1] != vals[i*2+1] ||
+				math.Float64bits(b.Measures[j]) != math.Float64bits(meas[i]) {
+				t.Fatalf("tuple %d mismatch", i)
+			}
+			i++
 		}
-		if i != n {
-			t.Fatalf("size %d: scanned %d tuples, want %d", size, i, n)
-		}
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if i != n {
+		t.Fatalf("scanned %d tuples, want %d", i, n)
+	}
+	if want := int(h.NumPages()); batches != want {
+		t.Fatalf("%d batches over %d pages", batches, want)
 	}
 }
 
@@ -316,7 +315,7 @@ func TestPrefetchConcurrentScan(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		for p := int64(0); p < h.NumPages(); p++ {
-			pool.Prefetch(ctx, h.handle, p)
+			pool.Prefetch(ctx, h.handle, p, nil)
 		}
 	}()
 	it := h.ScanBatches()

@@ -522,8 +522,11 @@ func (p *Pool) PinContext(ctx context.Context, h, no int64) ([]byte, error) {
 // already in flight the request is dropped rather than queued. A
 // prefetched read counts in Stats.Reads AND Stats.Prefetches; the scan's
 // later pin of the page counts a hit, exactly as if another query had
-// faulted the page in first. A canceled ctx suppresses the read.
-func (p *Pool) Prefetch(ctx context.Context, h, no int64) {
+// faulted the page in first. A canceled ctx suppresses the read. A
+// started prefetch is also counted on owner when owner is non-nil, so a
+// scan can wait for exactly the prefetches it issued: a prefetch pins
+// its frame while it loads.
+func (p *Pool) Prefetch(ctx context.Context, h, no int64, owner *sync.WaitGroup) {
 	if ctx.Err() != nil {
 		return
 	}
@@ -533,8 +536,14 @@ func (p *Pool) Prefetch(ctx context.Context, h, no int64) {
 		return // all prefetchers busy: drop, don't queue
 	}
 	p.prefetchWG.Add(1)
+	if owner != nil {
+		owner.Add(1)
+	}
 	go func() {
 		defer p.prefetchWG.Done()
+		if owner != nil {
+			defer owner.Done()
+		}
 		defer func() { <-p.prefetchSem }()
 		p.prefetch(ctx, h, no)
 	}()

@@ -179,61 +179,74 @@ func TestColumnarFallback(t *testing.T) {
 	}
 }
 
-// TestColumnarRLEAcrossBatches splits an RLE page into small batch
-// windows so runs span batch boundaries, on both batch read paths.
+// TestColumnarRLEAcrossBatches fills three RLE pages whose runs (100
+// rows each) straddle the page boundaries, then reads them back one
+// whole page per batch on both batch read paths: a run crossing a
+// boundary must appear as a clipped run on each side, and the runs of a
+// batch must cover exactly its rows.
 func TestColumnarRLEAcrossBatches(t *testing.T) {
 	_, h := newColumnarHeap(t, 8, 1)
 	per := TuplesPerPage(1)
-	vals, meas := fillHeapGen(t, h, per, func(i int) ([]int32, float64) {
+	if per%100 == 0 {
+		t.Fatalf("page capacity %d is a multiple of the run length; no run straddles a page", per)
+	}
+	n := 3 * per
+	vals, meas := fillHeapGen(t, h, n, func(i int) ([]int32, float64) {
 		return []int32{int32(i / 100)}, float64(i)
 	})
-	for _, size := range []int{1, 3, 64, 100, per - 1} {
-		i := 0
-		bit := h.ScanBatches()
-		bit.SetBatchSize(size)
-		for {
-			b, ok := bit.Next()
-			if !ok {
-				break
-			}
-			for r := 0; r < b.Len(); r++ {
-				if b.Row(r)[0] != vals[i][0] || b.Measures[r] != meas[i] {
-					t.Fatalf("size %d row %d: got %v %v want %v %v", size, i, b.Row(r), b.Measures[r], vals[i], meas[i])
-				}
-				i++
-			}
+	i := 0
+	bit := h.ScanBatches()
+	for {
+		b, ok := bit.Next()
+		if !ok {
+			break
 		}
-		if err := bit.Close(); err != nil || i != per {
-			t.Fatalf("size %d: %d rows err %v", size, i, err)
+		if b.Len() != per {
+			t.Fatalf("batch of %d rows, want a whole page of %d", b.Len(), per)
 		}
-		i = 0
-		cit := h.ScanColBatches()
-		cit.SetBatchSize(size)
-		var row [1]int32
-		for {
-			cb, ok := cit.Next()
-			if !ok {
-				break
+		for r := 0; r < b.Len(); r++ {
+			if b.Row(r)[0] != vals[i][0] || b.Measures[r] != meas[i] {
+				t.Fatalf("row %d: got %v %v want %v %v", i, b.Row(r), b.Measures[r], vals[i], meas[i])
 			}
-			// Runs must be clipped to the window: their lengths sum to Len.
-			sum := 0
-			for _, r := range cb.Cols[0].Runs {
-				sum += r.Len
-			}
-			if cb.Cols[0].Enc == EncRLE && sum != cb.Len() {
-				t.Fatalf("size %d: clipped runs sum %d != batch len %d", size, sum, cb.Len())
-			}
-			for r := 0; r < cb.Len(); r++ {
-				cb.Row(r, row[:])
-				if row[0] != vals[i][0] || cb.Measures[r] != meas[i] {
-					t.Fatalf("size %d row %d: got %v %v want %v %v", size, i, row, cb.Measures[r], vals[i], meas[i])
-				}
-				i++
-			}
+			i++
 		}
-		if err := cit.Close(); err != nil || i != per {
-			t.Fatalf("size %d: %d col rows err %v", size, i, err)
+	}
+	if err := bit.Close(); err != nil || i != n {
+		t.Fatalf("%d rows err %v", i, err)
+	}
+	i = 0
+	cit := h.ScanColBatches()
+	var row [1]int32
+	for {
+		cb, ok := cit.Next()
+		if !ok {
+			break
 		}
+		v := cb.Cols[0]
+		if v.Enc != EncRLE {
+			t.Fatalf("page at row %d not RLE-encoded (enc %d)", i, v.Enc)
+		}
+		sum := 0
+		for _, r := range v.Runs {
+			sum += r.Len
+		}
+		if sum != cb.Len() || cb.Len() != per {
+			t.Fatalf("runs cover %d rows of a %d-row batch, want %d", sum, cb.Len(), per)
+		}
+		// The first run continues the previous page's last value.
+		if first := v.Runs[0]; i > 0 && (first.Val != vals[i-1][0] || first.Len != 100-i%100) {
+			t.Fatalf("page at row %d: first run %+v does not continue the straddling run", i, first)
+		}
+		for r := 0; r < cb.Len(); r++ {
+			cb.Row(r, row[:])
+			if row[0] != vals[i][0] || cb.Measures[r] != meas[i] {
+				t.Fatalf("row %d: got %v %v want %v %v", i, row, cb.Measures[r], vals[i], meas[i])
+			}
+			i++
+		}
+	}
+	if err := cit.Close(); err != nil || i != n {
+		t.Fatalf("%d col rows err %v", i, err)
 	}
 }
 

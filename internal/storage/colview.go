@@ -12,6 +12,7 @@ import (
 	stdcontext "context"
 	"encoding/binary"
 	"math"
+	"sync"
 )
 
 // ColRun is one run of a run-length-encoded column view: Len consecutive
@@ -135,25 +136,21 @@ func (cb *ColBatch) Row(i int, dst []int32) {
 }
 
 // ColBatchIterator streams a heap's tuples in storage order as encoded
-// column batches: each Next pins one page, slices the requested row
-// window out of every column segment (copying, so no pin outlives the
-// call), and unpins. Row-major pages yield all-plain views; batch
-// boundaries clip RLE runs, so a run spanning two batches appears as a
-// shorter run in each.
+// column batches, one per page: each Next pins one page, copies every
+// column segment out of it (so no pin outlives the call), and unpins.
+// Row-major pages yield all-plain views. Runs never span batches: a
+// value run that continues onto the next page starts a new run there.
 type ColBatchIterator struct {
 	h         *Heap
 	ctx       stdcontext.Context
-	pageNo    int64
+	pageNo    int64 // current page; -1 before the first Next
 	npages    int64
-	inPage    int
-	count     int
-	size      int
 	cb        ColBatch
-	started   bool
 	done      bool
 	err       error
 	readAhead int
 	raMark    int64
+	raWG      sync.WaitGroup // this scan's in-flight prefetches
 }
 
 // ScanColBatches returns an encoded-batch iterator over the heap. The
@@ -163,61 +160,42 @@ func (h *Heap) ScanColBatches() *ColBatchIterator { return h.ScanColBatchesConte
 // ScanColBatchesContext is ScanColBatches with per-scan cancellation:
 // page fetches observe ctx at every buffer-pool miss.
 func (h *Heap) ScanColBatchesContext(ctx stdcontext.Context) *ColBatchIterator {
-	return &ColBatchIterator{h: h, ctx: ctx, npages: h.disk.NumPages()}
+	return &ColBatchIterator{h: h, ctx: ctx, pageNo: -1, npages: h.disk.NumPages()}
 }
-
-// SetBatchSize caps the rows per batch; values <= 0 (the default) emit
-// whole pages. As with BatchIterator, a batch never spans pages.
-func (it *ColBatchIterator) SetBatchSize(n int) { it.size = n }
 
 // SetReadAhead declares the scan sequential: before pinning each page the
 // iterator asks the pool to prefetch up to k following pages.
 func (it *ColBatchIterator) SetReadAhead(k int) { it.readAhead = k }
 
-// Next fills and returns the next encoded batch, or ok=false at the end.
-// The batch and its views are reused between calls: callers must consume
-// a batch before requesting the next one.
+// Next fills and returns the next page's encoded batch, or ok=false at
+// the end. The batch and its views are reused between calls: callers
+// must consume a batch before requesting the next one.
 func (it *ColBatchIterator) Next() (cb *ColBatch, ok bool) {
 	if it.done || it.err != nil {
 		return nil, false
 	}
 	for {
-		if it.inPage >= it.count {
-			if it.started {
-				it.pageNo++
-			}
-			it.started = true
-			if it.pageNo >= it.npages {
-				it.done = true
-				return nil, false
-			}
-			it.inPage = 0
-			it.count = -1
+		it.pageNo++
+		if it.pageNo >= it.npages {
+			it.done = true
+			return nil, false
 		}
-		it.h.prefetchAhead(it.ctx, it.pageNo, it.readAhead, &it.raMark, it.npages)
+		it.h.prefetchAhead(it.ctx, it.pageNo, it.readAhead, &it.raMark, it.npages, &it.raWG)
 		buf, err := it.h.pool.PinContext(it.ctx, it.h.handle, it.pageNo)
 		if err != nil {
 			it.err = err
 			it.done = true
 			return nil, false
 		}
-		if it.count < 0 {
-			it.count = int(binary.LittleEndian.Uint16(buf[0:]))
-		}
-		n := it.count - it.inPage
-		if it.size > 0 && n > it.size {
-			n = it.size
-		}
-		var fillErr error
+		n := int(binary.LittleEndian.Uint16(buf[0:]))
 		if n > 0 {
-			fillErr = it.fill(buf, it.inPage, n)
-			it.inPage += n
+			err = it.fill(buf, n)
 		}
-		if err := it.h.pool.Unpin(it.h.handle, it.pageNo, false); err != nil && fillErr == nil {
-			fillErr = err
+		if uerr := it.h.pool.Unpin(it.h.handle, it.pageNo, false); err == nil {
+			err = uerr
 		}
-		if fillErr != nil {
-			it.err = fillErr
+		if err != nil {
+			it.err = err
 			it.done = true
 			return nil, false
 		}
@@ -227,8 +205,8 @@ func (it *ColBatchIterator) Next() (cb *ColBatch, ok bool) {
 	}
 }
 
-// fill slices rows [from, from+n) of the pinned page into it.cb.
-func (it *ColBatchIterator) fill(buf []byte, from, n int) error {
+// fill copies the n rows of the pinned page into it.cb.
+func (it *ColBatchIterator) fill(buf []byte, n int) error {
 	arity := it.h.arity
 	it.cb.Arity = arity
 	if cap(it.cb.Cols) < arity {
@@ -251,13 +229,13 @@ func (it *ColBatchIterator) fill(buf []byte, from, n int) error {
 				v.Plain = make([]int32, 0, it.h.perPage)
 			}
 			v.Plain = v.Plain[:n]
-			off := pageHeaderSize + from*ts + 4*c
+			off := pageHeaderSize + 4*c
 			for r := 0; r < n; r++ {
 				v.Plain[r] = int32(binary.LittleEndian.Uint32(buf[off:]))
 				off += ts
 			}
 		}
-		off := pageHeaderSize + from*ts + 4*arity
+		off := pageHeaderSize + 4*arity
 		for r := 0; r < n; r++ {
 			it.cb.Measures[r] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
 			off += ts
@@ -268,7 +246,7 @@ func (it *ColBatchIterator) fill(buf []byte, from, n int) error {
 		return errCorruptColumnar("page arity mismatch")
 	}
 	for c := 0; c < arity; c++ {
-		if err := it.fillCol(&it.cb.Cols[c], buf, colSegOff(buf, c), from, n); err != nil {
+		if err := it.fillCol(&it.cb.Cols[c], buf, colSegOff(buf, c), n); err != nil {
 			return err
 		}
 	}
@@ -276,7 +254,7 @@ func (it *ColBatchIterator) fill(buf []byte, from, n int) error {
 	if moff <= 0 || moff >= PageDataSize || buf[moff] != EncPlain {
 		return errCorruptColumnar("measure segment")
 	}
-	p := moff + 1 + 8*from
+	p := moff + 1
 	for r := 0; r < n; r++ {
 		it.cb.Measures[r] = math.Float64frombits(binary.LittleEndian.Uint64(buf[p:]))
 		p += 8
@@ -284,9 +262,9 @@ func (it *ColBatchIterator) fill(buf []byte, from, n int) error {
 	return nil
 }
 
-// fillCol copies the [from, from+n) window of one column segment out of
-// the pinned page into the view, clipping RLE runs to the window.
-func (it *ColBatchIterator) fillCol(v *ColView, buf []byte, off, from, n int) error {
+// fillCol copies the first n rows of one column segment out of the
+// pinned page into the view, clipping RLE runs to those rows.
+func (it *ColBatchIterator) fillCol(v *ColView, buf []byte, off, n int) error {
 	if off <= 0 || off >= PageDataSize {
 		return errCorruptColumnar("segment offset out of range")
 	}
@@ -299,17 +277,17 @@ func (it *ColBatchIterator) fillCol(v *ColView, buf []byte, off, from, n int) er
 		}
 		v.Plain = v.Plain[:n]
 		for r := 0; r < n; r++ {
-			v.Plain[r] = int32(binary.LittleEndian.Uint32(buf[p+4*(from+r):]))
+			v.Plain[r] = int32(binary.LittleEndian.Uint32(buf[p+4*r:]))
 		}
 	case EncByte:
-		v.Codes = append(v.Codes[:0], buf[p+from:p+from+n]...)
+		v.Codes = append(v.Codes[:0], buf[p:p+n]...)
 	case EncDict:
 		nd := int(buf[p])
 		p++
 		for d := 0; d < nd; d++ {
 			v.Dict = append(v.Dict, int32(binary.LittleEndian.Uint32(buf[p+4*d:])))
 		}
-		codes := buf[p+4*nd+from : p+4*nd+from+n]
+		codes := buf[p+4*nd : p+4*nd+n]
 		for _, c := range codes {
 			if int(c) >= nd {
 				return errCorruptColumnar("dictionary code out of range")
@@ -319,26 +297,21 @@ func (it *ColBatchIterator) fillCol(v *ColView, buf []byte, off, from, n int) er
 	case EncRLE:
 		nruns := int(binary.LittleEndian.Uint16(buf[p:]))
 		p += 2
-		row, emitted := 0, 0
-		for i := 0; i < nruns && emitted < n; i++ {
+		row := 0
+		for i := 0; i < nruns && row < n; i++ {
 			l := int(binary.LittleEndian.Uint16(buf[p:]))
 			val := int32(binary.LittleEndian.Uint32(buf[p+2:]))
 			p += 6
-			lo, hi := row, row+l
-			if lo < from {
-				lo = from
+			if row+l > n {
+				l = n - row
 			}
-			if hi > from+n {
-				hi = from + n
+			if l > 0 {
+				v.Runs = append(v.Runs, ColRun{Len: l, Val: val})
+				row += l
 			}
-			if hi > lo {
-				v.Runs = append(v.Runs, ColRun{Len: hi - lo, Val: val})
-				emitted += hi - lo
-			}
-			row += l
 		}
-		if emitted < n {
-			return errCorruptColumnar("RLE runs cover fewer rows than requested")
+		if row < n {
+			return errCorruptColumnar("RLE runs cover fewer rows than the page header claims")
 		}
 	default:
 		return errCorruptColumnar("unknown segment encoding")
@@ -350,8 +323,11 @@ func (it *ColBatchIterator) fillCol(v *ColView, buf []byte, off, from, n int) er
 func (it *ColBatchIterator) Err() error { return it.err }
 
 // Close ends the iteration. Encoded-batch iterators hold no pin between
-// Next calls, so Close only marks the iterator done and reports Err.
+// Next calls; Close waits for the scan's in-flight read-ahead, so no
+// frame stays pinned on the scan's behalf once it returns, and reports
+// Err.
 func (it *ColBatchIterator) Close() error {
 	it.done = true
+	it.raWG.Wait()
 	return it.err
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Heap page layout:
@@ -299,7 +300,9 @@ func (h *Heap) AppendBatch(b *Batch) error {
 
 // prefetchAhead issues read-ahead for up to k pages past cur, tracking a
 // watermark in *mark so each page is requested at most once per scan.
-func (h *Heap) prefetchAhead(ctx context.Context, cur int64, k int, mark *int64, npages int64) {
+// Every prefetch it starts is counted on wg, which the scan's Close
+// waits on.
+func (h *Heap) prefetchAhead(ctx context.Context, cur int64, k int, mark *int64, npages int64, wg *sync.WaitGroup) {
 	if k <= 0 {
 		return
 	}
@@ -312,7 +315,7 @@ func (h *Heap) prefetchAhead(ctx context.Context, cur int64, k int, mark *int64,
 		lo = *mark
 	}
 	for p := lo; p <= hi; p++ {
-		h.pool.Prefetch(ctx, h.handle, p)
+		h.pool.Prefetch(ctx, h.handle, p, wg)
 	}
 	if hi+1 > *mark {
 		*mark = hi + 1
@@ -335,6 +338,7 @@ type Iterator struct {
 	started   bool
 	readAhead int
 	raMark    int64
+	raWG      sync.WaitGroup // this scan's in-flight prefetches
 	// Columnar pages are decoded whole on pin into these scratch arrays
 	// (isCol marks the current page's format); rows are then served from
 	// them with the same per-row interface as row-major pages.
@@ -376,7 +380,7 @@ func (it *Iterator) Next() (vals []int32, measure float64, ok bool) {
 				it.done = true
 				return nil, 0, false
 			}
-			it.h.prefetchAhead(it.ctx, it.pageNo, it.readAhead, &it.raMark, it.npages)
+			it.h.prefetchAhead(it.ctx, it.pageNo, it.readAhead, &it.raMark, it.npages, &it.raWG)
 			buf, err := it.h.pool.PinContext(it.ctx, it.h.handle, it.pageNo)
 			if err != nil {
 				it.err = err
@@ -436,7 +440,9 @@ func (it *Iterator) Location() (pageNo int64, slot int) {
 // Err returns the first error encountered during iteration.
 func (it *Iterator) Err() error { return it.err }
 
-// Close releases any pinned page.
+// Close releases any pinned page and waits for the scan's in-flight
+// read-ahead, so no frame stays pinned on the scan's behalf once it
+// returns.
 func (it *Iterator) Close() error {
 	if it.pinned {
 		it.pinned = false
@@ -445,6 +451,7 @@ func (it *Iterator) Close() error {
 		}
 	}
 	it.done = true
+	it.raWG.Wait()
 	return it.err
 }
 
@@ -493,17 +500,14 @@ func (b *Batch) Append(vals []int32, measure float64) {
 type BatchIterator struct {
 	h         *Heap
 	ctx       context.Context
-	pageNo    int64
+	pageNo    int64 // current page; -1 before the first Next
 	npages    int64
-	inPage    int // next slot to decode on the current page
-	count     int // tuples on the current page (0 until first decode)
-	size      int // max rows per batch; <=0 means whole pages
 	batch     Batch
-	started   bool
 	done      bool
 	err       error
 	readAhead int
 	raMark    int64
+	raWG      sync.WaitGroup // this scan's in-flight prefetches
 }
 
 // ScanBatches returns a batch iterator over the heap. The iterator must
@@ -514,64 +518,42 @@ func (h *Heap) ScanBatches() *BatchIterator { return h.ScanBatchesContext(h.cont
 // ScanBatchesContext is ScanBatches with per-scan cancellation: page
 // fetches observe ctx at every buffer-pool miss.
 func (h *Heap) ScanBatchesContext(ctx context.Context) *BatchIterator {
-	return &BatchIterator{h: h, ctx: ctx, npages: h.disk.NumPages()}
+	return &BatchIterator{h: h, ctx: ctx, pageNo: -1, npages: h.disk.NumPages()}
 }
-
-// SetBatchSize caps the rows per batch. Values <= 0 (the default) emit
-// whole pages — the natural decode unit; smaller values split a page
-// across several batches but never merge pages into one batch, so every
-// batch still costs exactly one pin.
-func (it *BatchIterator) SetBatchSize(n int) { it.size = n }
 
 // SetReadAhead declares the scan sequential: before pinning each page the
 // iterator asks the pool to prefetch up to k following pages (see
 // Pool.Prefetch). Zero (the default) disables read-ahead.
 func (it *BatchIterator) SetReadAhead(k int) { it.readAhead = k }
 
-// Next decodes and returns the next batch, or ok=false at the end. The
-// returned batch and its arrays are reused between calls: callers must
-// consume (or copy) a batch before requesting the next one.
+// Next decodes and returns the next page's batch, or ok=false at the
+// end. The returned batch and its arrays are reused between calls:
+// callers must consume (or copy) a batch before requesting the next one.
 func (it *BatchIterator) Next() (b *Batch, ok bool) {
 	if it.done || it.err != nil {
 		return nil, false
 	}
 	for {
-		if it.inPage >= it.count {
-			// Current page exhausted (or first call): advance to the next page.
-			if it.started {
-				it.pageNo++
-			}
-			it.started = true
-			if it.pageNo >= it.npages {
-				it.done = true
-				return nil, false
-			}
-			it.inPage = 0
-			it.count = -1 // sentinel: count read under the pin below
+		it.pageNo++
+		if it.pageNo >= it.npages {
+			it.done = true
+			return nil, false
 		}
-		it.h.prefetchAhead(it.ctx, it.pageNo, it.readAhead, &it.raMark, it.npages)
+		it.h.prefetchAhead(it.ctx, it.pageNo, it.readAhead, &it.raMark, it.npages, &it.raWG)
 		buf, err := it.h.pool.PinContext(it.ctx, it.h.handle, it.pageNo)
 		if err != nil {
 			it.err = err
 			it.done = true
 			return nil, false
 		}
-		if it.count < 0 {
-			it.count = int(binary.LittleEndian.Uint16(buf[0:]))
-		}
-		n := it.count - it.inPage
-		if it.size > 0 && n > it.size {
-			n = it.size
-		}
+		n := int(binary.LittleEndian.Uint16(buf[0:]))
 		if n > 0 {
-			if err := it.decode(buf, n); err != nil {
-				it.h.pool.Unpin(it.h.handle, it.pageNo, false)
-				it.err = err
-				it.done = true
-				return nil, false
-			}
+			err = it.decode(buf, n)
 		}
-		if err := it.h.pool.Unpin(it.h.handle, it.pageNo, false); err != nil {
+		if uerr := it.h.pool.Unpin(it.h.handle, it.pageNo, false); err == nil {
+			err = uerr
+		}
+		if err != nil {
 			it.err = err
 			it.done = true
 			return nil, false
@@ -583,10 +565,10 @@ func (it *BatchIterator) Next() (b *Batch, ok bool) {
 	}
 }
 
-// decode fills it.batch with n tuples starting at it.inPage from the
-// pinned page buffer, reusing the batch's backing arrays. It dispatches
-// on the page's format byte, so row-major and columnar pages interleave
-// transparently within one scan.
+// decode fills it.batch with the n tuples of the pinned page buffer,
+// reusing the batch's backing arrays. It dispatches on the page's format
+// byte, so row-major and columnar pages interleave transparently within
+// one scan.
 func (it *BatchIterator) decode(buf []byte, n int) error {
 	arity := it.h.arity
 	it.batch.Reset(arity)
@@ -599,11 +581,11 @@ func (it *BatchIterator) decode(buf []byte, n int) error {
 	vals := it.batch.Vals[:n*arity]
 	meas := it.batch.Measures[:n]
 	if pageFormat(buf) == formatColumnar {
-		if err := decodeColumnarRows(buf, arity, it.inPage, n, vals, meas); err != nil {
+		if err := decodeColumnarRows(buf, arity, 0, n, vals, meas); err != nil {
 			return err
 		}
 	} else {
-		off := pageHeaderSize + it.inPage*it.h.tupleSize
+		off := pageHeaderSize
 		vi := 0
 		for j := 0; j < n; j++ {
 			for c := 0; c < arity; c++ {
@@ -616,7 +598,6 @@ func (it *BatchIterator) decode(buf []byte, n int) error {
 	}
 	it.batch.Vals = vals
 	it.batch.Measures = meas
-	it.inPage += n
 	return nil
 }
 
@@ -624,9 +605,11 @@ func (it *BatchIterator) decode(buf []byte, n int) error {
 func (it *BatchIterator) Err() error { return it.err }
 
 // Close ends the iteration. Batch iterators hold no pin between Next
-// calls, so Close only marks the iterator done and reports Err.
+// calls; Close waits for the scan's in-flight read-ahead, so no frame
+// stays pinned on the scan's behalf once it returns, and reports Err.
 func (it *BatchIterator) Close() error {
 	it.done = true
+	it.raWG.Wait()
 	return it.err
 }
 
